@@ -1,9 +1,9 @@
 """Exact combinatorial quantities: binomials, multinomials, Stirling numbers.
 
 Everything returns arbitrary-precision integers (or Fractions for the falling
-factorial of a rational argument).  Stirling values are memoized for indices
-up to a configurable cap; beyond the cap they are computed per call, so the
-functions stay safe for concurrent use.
+factorial of a rational argument).  Stirling numbers are computed row by row
+of their triangle, without recursion, in O(j * n) integer operations; no
+state is shared between calls, so the functions are safe for concurrent use.
 """
 
 from __future__ import annotations
@@ -11,18 +11,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from typing import Sequence
-
-_MEMO_CAP = 32
-_stirling2_memo: dict[tuple[int, int], int] = {}
-_stirling1_memo: dict[tuple[int, int], int] = {}
-
-
-def set_memo_cap(cap: int) -> None:
-    """Raise or lower the index cap below which Stirling values are cached."""
-    global _MEMO_CAP
-    if cap < 0:
-        raise ValueError("cap must be nonnegative")
-    _MEMO_CAP = cap
 
 
 def binomial(n: int, k: int) -> int:
@@ -51,22 +39,19 @@ def stirling2(j: int, n: int) -> int:
     """Stirling number of the second kind S(j, n), by the triangle recurrence.
 
     S(j, n) counts partitions of a j-set into n nonempty blocks; S(j, n) = 0
-    for j < n and S(0, 0) = 1.
+    for j < n and S(0, 0) = 1.  Row i of the triangle, columns 0..n, is
+    updated in place from row i - 1 by S(i, k) = k S(i-1, k) + S(i-1, k-1).
     """
     if j < 0 or n < 0:
         raise ValueError("stirling2 arguments must be nonnegative")
-    if n == 0:
-        return 1 if j == 0 else 0
     if n > j:
         return 0
-    key = (j, n)
-    cached = _stirling2_memo.get(key)
-    if cached is not None:
-        return cached
-    value = n * stirling2(j - 1, n) + stirling2(j - 1, n - 1)
-    if j <= _MEMO_CAP:
-        _stirling2_memo[key] = value
-    return value
+    row = [1] + [0] * n
+    for i in range(1, j + 1):
+        for k in range(min(i, n), 0, -1):
+            row[k] = k * row[k] + row[k - 1]
+        row[0] = 0
+    return row[n]
 
 
 def stirling2_alternating_sum(j: int, n: int) -> int:
@@ -92,24 +77,19 @@ def stirling1_unsigned(j: int, k: int) -> int:
 
     Satisfies the falling-factorial expansion
     n(n-1)...(n-j+1) = sum_k (-1)^(j-k) c(j, k) n^k and the recurrence
-    c(j, k) = c(j-1, k-1) + (j-1) c(j-1, k).
+    c(j, k) = c(j-1, k-1) + (j-1) c(j-1, k), applied row by row as in
+    :func:`stirling2`.
     """
     if j < 0 or k < 0:
         raise ValueError("stirling1 arguments must be nonnegative")
     if k > j:
         return 0
-    if j == 0:
-        return 1
-    if k == 0:
-        return 0
-    key = (j, k)
-    cached = _stirling1_memo.get(key)
-    if cached is not None:
-        return cached
-    value = stirling1_unsigned(j - 1, k - 1) + (j - 1) * stirling1_unsigned(j - 1, k)
-    if j <= _MEMO_CAP:
-        _stirling1_memo[key] = value
-    return value
+    row = [1] + [0] * k
+    for i in range(1, j + 1):
+        for col in range(min(i, k), 0, -1):
+            row[col] = row[col - 1] + (i - 1) * row[col]
+        row[0] = 0
+    return row[k]
 
 
 def falling_factorial(n, j: int):

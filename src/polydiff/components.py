@@ -23,7 +23,7 @@ from itertools import combinations_with_replacement, product
 from random import Random
 from typing import Sequence
 
-from .combinatorics import binomial, stirling1_unsigned
+from .combinatorics import binomial
 from .diffcalc import (
     VERDICT_FAIL,
     VERDICT_PASS,
@@ -31,6 +31,9 @@ from .diffcalc import (
     BlackBoxFn,
     DiffReport,
     Witness,
+    forward_differences,
+    newton_components,
+    newton_stirling_matrix,
     pure_diff_at,
     symbolic_pure_diff,
 )
@@ -111,22 +114,7 @@ def components_by_stirling(f: BlackBoxFn, m: int, x: Sequence) -> list[Vec]:
     pt = as_vec(x)
     if len(pt) != f.nvars:
         raise DimensionError(f"point length {len(pt)}, expected {f.nvars}")
-    samples = [f(vec_scale(i, pt)) for i in range(m + 1)]
-    diffs = []
-    for j in range(m + 1):
-        acc = zero_vec(f.codim)
-        for i in range(j + 1):
-            acc = vec_add(acc, vec_scale((-1) ** (j - i) * binomial(j, i), samples[i]))
-        diffs.append(acc)
-    out = []
-    for k in range(m + 1):
-        acc = zero_vec(f.codim)
-        for j in range(k, m + 1):
-            coeff = Fraction((-1) ** (j - k) * stirling1_unsigned(j, k), math.factorial(j))
-            if coeff:
-                acc = vec_add(acc, vec_scale(coeff, diffs[j]))
-        out.append(acc)
-    return out
+    return newton_components(forward_differences([f(vec_scale(i, pt)) for i in range(m + 1)]))
 
 
 def interpolation_component_polys(p: VectorPoly, m: int | None = None) -> list[VectorPoly]:
@@ -159,12 +147,11 @@ def stirling_component_polys(p: VectorPoly, m: int | None = None) -> list[Vector
         sym = symbolic_pure_diff(p, j)
         diffs.append(sym.compose(zero_args + gens, nvars_out=n))  # x := 0, h := x
     out = []
-    for k in range(m + 1):
+    for row in newton_stirling_matrix(m):
         acc = VectorPoly.zero(n, p.codim)
-        for j in range(k, m + 1):
-            coeff = Fraction((-1) ** (j - k) * stirling1_unsigned(j, k), math.factorial(j))
+        for coeff, diff in zip(row, diffs):
             if coeff:
-                acc = acc + coeff * diffs[j]
+                acc = acc + coeff * diff
         out.append(acc)
     return out
 

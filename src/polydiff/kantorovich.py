@@ -33,14 +33,15 @@ from itertools import combinations_with_replacement
 from random import Random
 from typing import Callable, Sequence
 
-from .combinatorics import binomial, stirling1_unsigned
 from .diffcalc import (
     VERDICT_FAIL,
     VERDICT_PASS,
     VERDICT_PROBABILISTIC,
     DiffReport,
     Witness,
+    forward_differences,
     mixed_diff_at,
+    newton_components,
     pure_diff_at,
     symbolic_pure_diff,
 )
@@ -59,7 +60,6 @@ from .vectors import (
     Vec,
     as_vec,
     basis_vec,
-    vec_add,
     vec_is_nonneg,
     vec_scale,
     vec_sub,
@@ -261,42 +261,28 @@ def check_extension_hypotheses(
 def cone_components(f: ConeFunction, m: int, x: Sequence) -> list[Vec]:
     """Values (f_0(x), ..., f_m(x)) rearranged from the Newton expansion at 0.
 
-    Requires x in the cone.  The Newton consistency f(n x) = sum_k f_k(x) n^k
-    is re-checked for n = 0..m+1; the n = m+1 case is exactly the vanishing
-    of the order-(m+1) pure difference along x and raises on violation.
+    Requires x in the cone.  The samples f(i x), i = 0..m+1, give the pure
+    differences Delta^j f(0; x^j) along the ray, and the cached
+    Newton-Stirling matrix turns those of orders 0..m into the component
+    values.  The rearrangement reproduces f(n x) = sum_k f_k(x) n^k exactly
+    for n = 0..m, so the one consistency check left is n = m+1: it holds
+    exactly when the order-(m+1) pure difference along x vanishes, and
+    raises with that difference as the witness value otherwise.
     """
     pt = as_vec(x)
     if len(pt) != f.nvars:
         raise DimensionError(f"point length {len(pt)}, expected {f.nvars}")
     if not vec_is_nonneg(pt):
         raise ConeDomainError(f"point {pt} lies outside the positive cone")
-    samples = [f(vec_scale(i, pt)) for i in range(m + 2)]
-    diffs = []
-    for j in range(m + 1):
-        acc = zero_vec(f.codim)
-        for i in range(j + 1):
-            acc = vec_add(acc, vec_scale((-1) ** (j - i) * binomial(j, i), samples[i]))
-        diffs.append(acc)
-    comps = []
-    for k in range(m + 1):
-        acc = zero_vec(f.codim)
-        for j in range(k, m + 1):
-            coeff = Fraction((-1) ** (j - k) * stirling1_unsigned(j, k), math.factorial(j))
-            if coeff:
-                acc = vec_add(acc, vec_scale(coeff, diffs[j]))
-        comps.append(acc)
-    for n_mult in range(m + 2):
-        predicted = zero_vec(f.codim)
-        for k in range(m + 1):
-            predicted = vec_add(predicted, vec_scale(n_mult**k, comps[k]))
-        if predicted != samples[n_mult]:
-            raise ExtensionHypothesisError(
-                "(i)",
-                Witness((pt,), vec_sub(samples[n_mult], predicted)),
-                f"Newton consistency fails at multiplier {n_mult} along {pt}: "
-                "order-(m+1) differences do not vanish on this ray",
-            )
-    return comps
+    diffs = forward_differences([f(vec_scale(i, pt)) for i in range(m + 2)])
+    if any(diffs[m + 1]):
+        raise ExtensionHypothesisError(
+            "(i)",
+            Witness((pt,), diffs[m + 1]),
+            f"Newton consistency fails at multiplier {m + 1} along {pt}: "
+            "order-(m+1) differences do not vanish on this ray",
+        )
+    return newton_components(diffs[: m + 1])
 
 
 def homogeneous_extend(

@@ -19,7 +19,6 @@ nonnegative), "probabilistic" (clean grid plus seeded random sampling), or
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
@@ -32,6 +31,7 @@ from .diffcalc import (
     VERDICT_PASS,
     VERDICT_PROBABILISTIC,
     BlackBoxFn,
+    ClearedPoly,
     DiffReport,
     Witness,
     mixed_diff_at,
@@ -40,7 +40,7 @@ from .diffcalc import (
 from .poly import ScalarPoly, VectorPoly, as_vector_poly
 from .sampling import DEFAULT_CONFIG, SamplerConfig, rand_vec
 from .tensor import polarize_signs, tensor_is_nonneg
-from .vectors import Vec, as_vec, basis_vec, vec_add, vec_scale, zero_vec
+from .vectors import Vec, as_vec, basis_vec, zero_vec
 
 # grid used by the cone sampling stage: step 1/2 on [0, 2] in every coordinate
 DEFAULT_GRID: tuple[Fraction, ...] = tuple(Fraction(i, 2) for i in range(5))
@@ -94,32 +94,35 @@ def mixed_diff_nonneg_sample(
     to k!, so a component with a negative basis value always yields a
     witness).  Seeded random cone samples follow.  Failure is certain and
     carries witnesses; a clean pass is theorem-backed only when the
-    polynomial is positive.
+    polynomial is positive.  Vertex sums run on the integer ray kernel, and
+    the basis probes share their integer evaluations at common vertices.
     """
     if r_max < 0:
         raise ValueError("r_max must be nonnegative")
     p = as_vector_poly(p)
-    f = BlackBoxFn.from_poly(p)
+    cleared = ClearedPoly(p)
     n = p.nvars
     origin = zero_vec(n)
+    basis = [basis_vec(i, n) for i in range(n)]
+    probe, (corner, *units) = cleared.over([origin, *basis])
     witnesses = []
     used = 0
     for r in range(r_max + 1):
         for key in combinations_with_replacement(range(n), r):
-            hs = [basis_vec(i, n) for i in key]
-            value = mixed_diff_at(f, origin, hs)
+            nums = probe.mixed_diff(corner, [units[i] for i in key])
             used += 1
-            if any(c < 0 for c in value):
-                witnesses.append(Witness((origin, *hs), value))
+            if any(c < 0 for c in nums):
+                witnesses.append(Witness((origin, *(basis[i] for i in key)), probe.value(nums)))
     rng = Random(cfg.seed)
     for r in range(r_max + 1):
         for _ in range(cfg.samples):
             x = rand_vec(rng, n, cfg, nonneg=True)
             hs = [rand_vec(rng, n, cfg, nonneg=True) for _ in range(r)]
-            value = mixed_diff_at(f, x, hs)
+            evaluator, (a, *bs) = cleared.over([x, *hs])
+            nums = evaluator.mixed_diff(a, bs)
             used += 1
-            if any(c < 0 for c in value):
-                witnesses.append(Witness((x, *hs), value))
+            if any(c < 0 for c in nums):
+                witnesses.append(Witness((x, *hs), evaluator.value(nums)))
     witnesses.sort(key=Witness.sort_key)
     verdict = VERDICT_FAIL if witnesses else VERDICT_PASS
     return DiffReport(verdict, witnesses, used, cfg.seed)
@@ -138,7 +141,11 @@ def pure_diff_nonneg_check(
     "certified" (coefficient nonnegativity implies cone nonnegativity).
     Orders without a certificate fall back to stage 2: the full grid
     grid^n x grid^n (deterministically strided once it exceeds the pair cap)
-    plus cfg.samples seeded random cone pairs.
+    plus cfg.samples seeded random cone pairs.  Stage 2 runs on the integer
+    ray kernel: each pair (x, h) is evaluated once at x + i h for i up to the
+    highest uncertified order, every order is read off that one ray, and grid
+    rays share evaluations at common points.  Witness values are exact
+    Fractions, equal to :func:`pure_diff_at` of the polynomial.
     """
     if r_max < 0:
         raise ValueError("r_max must be nonnegative")
@@ -152,52 +159,39 @@ def pure_diff_nonneg_check(
     if not uncertified:
         return DiffReport(VERDICT_CERTIFIED, [], 0, cfg.seed)
 
-    cache: dict[Vec, Vec] = {}
-
-    def value_at(pt: Vec) -> Vec:
-        got = cache.get(pt)
-        if got is None:
-            got = p.evaluate(pt)
-            cache[pt] = got
-        return got
-
-    def pure_diff(x: Vec, h: Vec, r: int) -> Vec:
-        total = zero_vec(p.codim)
-        for i in range(r + 1):
-            pt = vec_add(x, vec_scale(i, h))
-            total = vec_add(total, vec_scale((-1) ** (r - i) * math.comb(r, i), value_at(pt)))
-        return total
-
+    cleared = ClearedPoly(p)
     witnesses = []
     used = 0
     points = [as_vec(pt) for pt in product(grid, repeat=n)]
+    on_grid, ints = cleared.over(points)
     orders = [r for r in uncertified if r > 0]
     if 0 in uncertified:
-        for x in points:
+        for x, a in zip(points, ints):
             used += 1
-            value = value_at(x)
-            if any(c < 0 for c in value):
-                witnesses.append(Witness((x,), value))
+            nums = on_grid.numerators(a)
+            if any(c < 0 for c in nums):
+                witnesses.append(Witness((x,), on_grid.value(nums)))
     total_pairs = len(points) ** 2
     stride = max(1, -(-total_pairs // GRID_PAIR_CAP))  # ceil division
     if orders:
-        for idx, (x, h) in enumerate(product(points, repeat=2)):
+        for idx, ((x, a), (h, b)) in enumerate(product(list(zip(points, ints)), repeat=2)):
             if idx % stride:
                 continue
+            diffs = on_grid.pure_diffs(a, b, orders[-1])
             for r in orders:
                 used += 1
-                value = pure_diff(x, h, r)
-                if any(c < 0 for c in value):
-                    witnesses.append(Witness((x,) + (h,) * r, value))
+                if any(c < 0 for c in diffs[r]):
+                    witnesses.append(Witness((x,) + (h,) * r, on_grid.value(diffs[r])))
     rng = Random(cfg.seed)
     for _ in range(cfg.samples):
         x = rand_vec(rng, n, cfg, nonneg=True)
         h = rand_vec(rng, n, cfg, nonneg=True)
+        evaluator, (a, b) = cleared.over([x, h])
+        diffs = evaluator.pure_diffs(a, b, uncertified[-1])
         for r in uncertified:
             used += 1
-            value = pure_diff(x, h, r) if r else value_at(x)
-            if any(c < 0 for c in value):
-                witnesses.append(Witness((x,) + (h,) * r if r else (x,), value))
+            if any(c < 0 for c in diffs[r]):
+                witnesses.append(Witness((x,) + (h,) * r, evaluator.value(diffs[r])))
     witnesses.sort(key=Witness.sort_key)
     verdict = VERDICT_FAIL if witnesses else VERDICT_PROBABILISTIC
     return DiffReport(verdict, witnesses, used, cfg.seed)

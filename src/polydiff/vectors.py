@@ -54,17 +54,9 @@ def vec_sub(a: Vec, b: Vec) -> Vec:
     return tuple(x - y for x, y in zip(a, b))
 
 
-def vec_neg(a: Vec) -> Vec:
-    return tuple(-x for x in a)
-
-
 def vec_scale(c: RatLike, a: Vec) -> Vec:
     c = as_rat(c)
     return tuple(c * x for x in a)
-
-
-def vec_is_zero(a: Vec) -> bool:
-    return not any(a)
 
 
 def vec_is_nonneg(a: Vec) -> bool:

@@ -20,6 +20,12 @@ def test_stirling_subcommand(capsys):
     assert out.strip() == "11"
 
 
+def test_stirling_subcommand_large_index(capsys):
+    code, out, _ = invoke(capsys, "stirling", "--kind", "2", "1200", "3")
+    assert code == 0
+    assert int(out) == (3**1200 - 3 * 2**1200 + 3) // 6
+
+
 def test_eval_subcommand(capsys):
     code, out, _ = invoke(capsys, "eval", "x1^2*x2", "--at", "2,3")
     assert code == 0

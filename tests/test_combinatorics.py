@@ -125,3 +125,16 @@ def test_binomial_is_falling_factorial_over_factorial():
     for n in range(13):
         for j in range(13):
             assert Fraction(falling_factorial(n, j), math.factorial(j)) == binomial(n, j)
+
+
+def test_stirling2_far_beyond_small_indices_matches_defining_sum():
+    # row-by-row evaluation: no recursion depth, polynomial time in the indices
+    assert stirling2(200, 100) == stirling2_alternating_sum(200, 100)
+    assert stirling2(1200, 3) == (3**1200 - 3 * 2**1200 + 3) // 6
+
+
+def test_falling_factorial_expands_through_stirling1_at_order_200():
+    j = 200
+    coeffs = [(-1) ** (j - k) * stirling1_unsigned(j, k) for k in range(j + 1)]
+    for n in (-3, 0, 1, 7, 199, 200, 250):
+        assert falling_factorial(n, j) == sum(c * n**k for k, c in enumerate(coeffs))

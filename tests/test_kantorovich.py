@@ -123,6 +123,10 @@ def test_cone_components_newton_check_catches_high_degree():
     with pytest.raises(ExtensionHypothesisError) as info:
         cone_components(f, 2, (1,))
     assert info.value.condition == "(i)"
+    # the order-3 pure difference of t^3 along 1 is 3! = 6
+    assert info.value.witness.points == ((Fraction(1),),)
+    assert info.value.witness.value == (Fraction(6),)
+    assert "multiplier 3" in str(info.value)
 
 
 def test_homogeneous_extend_examples():
