@@ -43,6 +43,7 @@ from .tensor import (
     SymTensor,
     polarize_mo,
     polarize_signs,
+    poly_to_tensor,
     tensor_eval,
     tensor_is_nonneg,
     tensor_to_poly,
@@ -81,6 +82,7 @@ __all__ = [
     "parse",
     "polarize_mo",
     "polarize_signs",
+    "poly_to_tensor",
     "pure_diff_at",
     "stirling1_unsigned",
     "stirling2",

@@ -206,40 +206,68 @@ def tensor_by_scaling(p: VectorPoly, k: int) -> SymTensor:
 
 
 def nonzero_point(p: VectorPoly) -> tuple[Vec, Vec]:
-    """Deterministic small integer point where a nonzero polynomial does not vanish.
+    """Lex-first point of the grid {0, ..., d+1}^nvars where a nonzero polynomial does not vanish.
 
-    Scans the grid {0, ..., d+1}^nvars in lexicographic order (d = total
-    degree); a nonzero polynomial of per-variable degree <= d cannot vanish on
-    that grid.  The scan stays in the positive cone, so the returned point is
-    always a valid cone witness.  Returns (point, value).
+    d is the total degree.  A nonzero polynomial of degree <= d in each
+    variable cannot vanish on a grid with more than d values per variable
+    (the grid argument of the Combinatorial Nullstellensatz, Alon 1999), so
+    variables are fixed greedily: each takes the least v in 0..d+1 whose
+    substitution leaves a nonzero (vector) polynomial in the rest.  That is
+    the lex-first nonvanishing grid point, found with O(nvars (d+2))
+    substitutions and one evaluation.  The grid stays in the positive cone,
+    so the point is always a valid cone witness.  Returns (point, value).
     """
     if p.is_zero:
         raise ValueError("the zero polynomial vanishes everywhere")
     bound = (p.degree() or 0) + 2
-    for pt in product(range(bound), repeat=p.nvars):
-        value = p.evaluate(pt)
-        if any(value):
-            return as_vec(pt), value
-    raise AssertionError("unreachable: nonzero polynomial vanished on its grid")
+    coords = [coord.terms for coord in p.coords]
+    point = []
+    for _ in range(p.nvars):
+        for v in range(bound):
+            rest = []
+            for terms in coords:
+                acc: dict[tuple[int, ...], Fraction] = {}
+                for exps, coeff in terms.items():
+                    acc[exps[1:]] = acc.get(exps[1:], 0) + coeff * v ** exps[0]
+                rest.append({e: c for e, c in acc.items() if c})
+            if any(rest):
+                break
+        else:
+            raise AssertionError("unreachable: nonzero polynomial vanished on its grid")
+        point.append(v)
+        coords = rest
+    pt = as_vec(point)
+    return pt, p.evaluate(pt)
+
+
+def degree_witness(p: VectorPoly, m: int) -> Witness | None:
+    """Exact check that the order-(m+1) pure differences of p vanish.
+
+    None when they do; otherwise the witness (x, h, ..., h) at the
+    lex-first nonvanishing point of the symbolic difference over [x | h].
+    """
+    sym = symbolic_pure_diff(p, m + 1)
+    if sym.is_zero:
+        return None
+    point, value = nonzero_point(sym)
+    n = p.nvars
+    return Witness((point[:n],) + (point[n:],) * (m + 1), value)
 
 
 def degree_test(f: BlackBoxFn, m: int, cfg: SamplerConfig = DEFAULT_CONFIG) -> DiffReport:
     """Check that all pure differences of order m+1 vanish.
 
     Polynomial-backed inputs are checked symbolically (exact verdict: "pass"
-    or "fail" with a concrete witness).  Opaque inputs are sampled at seeded
-    rational pairs (x, h); a clean run is only "probabilistic".
+    or "fail" with the witness of :func:`degree_witness`).  Opaque inputs are
+    sampled at seeded rational pairs (x, h); a clean run is only
+    "probabilistic".
     """
     if m < 0:
         raise ValueError("degree bound must be nonnegative")
     if f.poly is not None:
-        sym = symbolic_pure_diff(f.poly, m + 1)
-        if sym.is_zero:
+        witness = degree_witness(f.poly, m)
+        if witness is None:
             return DiffReport(VERDICT_PASS, [], 0, cfg.seed)
-        point, value = nonzero_point(sym)
-        n = f.nvars
-        x, h = point[:n], point[n:]
-        witness = Witness((x,) + (h,) * (m + 1), value)
         return DiffReport(VERDICT_FAIL, [witness], 0, cfg.seed)
     rng = Random(cfg.seed)
     witnesses = []

@@ -43,9 +43,8 @@ from .diffcalc import (
     mixed_diff_at,
     newton_components,
     pure_diff_at,
-    symbolic_pure_diff,
 )
-from .components import nonzero_point
+from .components import degree_witness
 from .errors import (
     ConeDomainError,
     DimensionError,
@@ -163,16 +162,13 @@ def _condition_i_witnesses(
     """Vanishing of order-(m+1) pure differences on the cone.
 
     Returns (witnesses, exact, evaluations).  Polynomial-backed: symbolic,
-    with a small-integer cone witness when nonzero.  Otherwise seeded
-    sampling; table-backed draws skip pairs that leave the table.
+    with the small-integer cone witness of :func:`degree_witness`.
+    Otherwise seeded sampling; table-backed draws skip pairs that leave the
+    table.
     """
     if f.poly is not None:
-        sym = symbolic_pure_diff(f.poly, m + 1)
-        if sym.is_zero:
-            return [], True, 0
-        point, value = nonzero_point(sym)
-        x, h = point[: f.nvars], point[f.nvars :]
-        return [Witness((x,) + (h,) * (m + 1), value)], True, 0
+        witness = degree_witness(f.poly, m)
+        return ([] if witness is None else [witness]), True, 0
     witnesses = []
     used = 0
     attempts = 0
@@ -233,6 +229,25 @@ def _condition_ii_witnesses(
     return witnesses, False, used
 
 
+def _hypothesis_witnesses(
+    f: ConeFunction, m: int, cfg: SamplerConfig, stop_after_i: bool
+) -> tuple[list[Witness], list[Witness], bool, int]:
+    """Witnesses of (i) and (ii) from one seeded stream: (wit_i, wit_ii, exact, evaluations).
+
+    (ii) is skipped after an exact failure of (i), where its polynomial
+    route is not meaningful, and after any failure of (i) when
+    ``stop_after_i`` is set.
+    """
+    if m < 0:
+        raise ValueError("degree bound must be nonnegative")
+    rng = Random(cfg.seed)
+    wit_i, exact_i, used_i = _condition_i_witnesses(f, m, cfg, rng)
+    if wit_i and (exact_i or stop_after_i):
+        return wit_i, [], exact_i, used_i
+    wit_ii, exact_ii, used_ii = _condition_ii_witnesses(f, m, cfg, rng)
+    return wit_i, wit_ii, exact_i and exact_ii, used_i + used_ii
+
+
 def check_extension_hypotheses(
     f: ConeFunction, m: int, cfg: SamplerConfig = DEFAULT_CONFIG
 ) -> DiffReport:
@@ -243,19 +258,11 @@ def check_extension_hypotheses(
     degree check (i) already failed, the polynomial route for (ii) is not
     meaningful and is skipped.
     """
-    if m < 0:
-        raise ValueError("degree bound must be nonnegative")
-    rng = Random(cfg.seed)
-    wit_i, exact_i, used_i = _condition_i_witnesses(f, m, cfg, rng)
-    if wit_i and exact_i:
-        return DiffReport(VERDICT_FAIL, wit_i, used_i, cfg.seed)
-    wit_ii, exact_ii, used_ii = _condition_ii_witnesses(f, m, cfg, rng)
+    wit_i, wit_ii, exact, used = _hypothesis_witnesses(f, m, cfg, stop_after_i=False)
     witnesses = sorted(wit_i + wit_ii, key=Witness.sort_key)
-    used = used_i + used_ii
     if witnesses:
         return DiffReport(VERDICT_FAIL, witnesses, used, cfg.seed)
-    verdict = VERDICT_PASS if (exact_i and exact_ii) else VERDICT_PROBABILISTIC
-    return DiffReport(verdict, [], used, cfg.seed)
+    return DiffReport(VERDICT_PASS if exact else VERDICT_PROBABILISTIC, [], used, cfg.seed)
 
 
 def cone_components(f: ConeFunction, m: int, x: Sequence) -> list[Vec]:
@@ -358,19 +365,12 @@ def kantorovich_extend(
     returned polynomial is verified to agree with f: coefficientwise against
     a polynomial restriction, at fresh seeded cone points otherwise.
     """
-    if m < 0:
-        raise ValueError("degree bound must be nonnegative")
-    rng = Random(cfg.seed)
-    wit_i, exact_i, used_i = _condition_i_witnesses(f, m, cfg, rng)
+    wit_i, wit_ii, exact, used = _hypothesis_witnesses(f, m, cfg, stop_after_i=True)
     if wit_i:
         raise ExtensionHypothesisError("(i)", wit_i[0], "order-(m+1) differences do not vanish on the cone")
-    wit_ii, exact_ii, used_ii = _condition_ii_witnesses(f, m, cfg, rng)
     if wit_ii:
         raise ExtensionHypothesisError("(ii)", wit_ii[0], "a mixed difference is negative on the cone")
-    exact = exact_i and exact_ii
-    hypothesis_report = DiffReport(
-        VERDICT_PASS if exact else VERDICT_PROBABILISTIC, [], used_i + used_ii, cfg.seed
-    )
+    hypothesis_report = DiffReport(VERDICT_PASS if exact else VERDICT_PROBABILISTIC, [], used, cfg.seed)
 
     value_cache: dict[Vec, Vec] = {}
 

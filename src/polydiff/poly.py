@@ -7,11 +7,19 @@ coordinate and is the representation of a polynomial map into a
 finite-dimensional ordered space with the componentwise order.
 
 Both classes are immutable after construction and safe for concurrent use.
+
+:class:`ClearedPoly` and :class:`RayEvaluator` evaluate one polynomial at
+many points in integers: every value, difference and polarization sum is an
+integer numerator over a known positive denominator, and a Fraction is built
+only for a value that is reported.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from itertools import product
+from operator import add, sub
 from typing import Mapping, Sequence
 
 from .errors import DimensionError
@@ -367,3 +375,107 @@ def as_vector_poly(p: "ScalarPoly | VectorPoly") -> VectorPoly:
     if isinstance(p, ScalarPoly):
         return VectorPoly.from_scalar(p)
     raise TypeError(f"not a polynomial: {p!r}")
+
+
+def forward_differences(values: Sequence[Sequence]) -> list[tuple]:
+    """Delta^0, ..., Delta^r at the start of a ray from its values at i = 0..r.
+
+    values[i] is the (vector) value at x + i h; row s of the forward-difference
+    table is the s-th difference along the ray, and its first entry is
+    Delta^s f(x; h^s).  Works for Fraction and integer vectors alike.
+    """
+    row = [tuple(v) for v in values]
+    out = []
+    while row:
+        out.append(row[0])
+        row = [tuple(map(sub, v, u)) for u, v in zip(row, row[1:])]
+    return out
+
+
+class ClearedPoly:
+    """A polynomial map written as P_c = Q_c / D_c with integer Q_c, per coordinate.
+
+    D_c is the least common denominator of the coordinate's coefficients, so
+    Q_c has integer coefficients q_e.  :meth:`over` fixes a common
+    denominator L for a set of points and returns the evaluator that works
+    on their integer numerators.
+    """
+
+    def __init__(self, p: VectorPoly):
+        p = as_vector_poly(p)
+        self.degree = p.degree() or 0
+        self.dens: list[int] = []
+        # per coordinate: (q_e, |e|, ((variable, exponent), ...) over nonzero exponents)
+        self.coords: list[list[tuple[int, int, tuple[tuple[int, int], ...]]]] = []
+        for coord in p.coords:
+            den = math.lcm(*(c.denominator for c in coord.terms.values()))
+            self.dens.append(den)
+            self.coords.append(
+                [
+                    (c.numerator * (den // c.denominator), sum(e), tuple((i, k) for i, k in enumerate(e) if k))
+                    for e, c in coord.terms.items()
+                ]
+            )
+
+    def over(self, vectors: Sequence[Sequence]) -> tuple["RayEvaluator", list[tuple[int, ...]]]:
+        """Evaluator for the vectors' common denominator L, and each vector times L."""
+        scale = math.lcm(*(c.denominator for v in vectors for c in v))
+        ints = [tuple(c.numerator * (scale // c.denominator) for c in v) for v in vectors]
+        return RayEvaluator(self, scale), ints
+
+
+class RayEvaluator:
+    """Values of a :class:`ClearedPoly` at points a / L, integer a, as integer numerators.
+
+    P_c(a / L) = N_c(a) / (D_c L^deg) with N_c(a) = sum_e q_e a^e L^(deg - |e|),
+    and the denominator is positive, so every value and every difference of
+    values has the sign of its integer numerator.  Numerators are cached per
+    integer point, so rays and vertex sums that meet share evaluations.
+    """
+
+    def __init__(self, cleared: ClearedPoly, scale: int):
+        deg = cleared.degree
+        self.terms = [
+            [(q * scale ** (deg - total), pairs) for q, total, pairs in coord] for coord in cleared.coords
+        ]
+        self.dens = [den * scale**deg for den in cleared.dens]
+        self._cache: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+    def numerators(self, a: tuple[int, ...]) -> tuple[int, ...]:
+        """N_c(a) for every coordinate c."""
+        got = self._cache.get(a)
+        if got is None:
+            values = []
+            for terms in self.terms:
+                total = 0
+                for weight, pairs in terms:
+                    for i, k in pairs:
+                        weight *= a[i] ** k
+                    total += weight
+                values.append(total)
+            got = self._cache[a] = tuple(values)
+        return got
+
+    def value(self, nums: Sequence[int]) -> Vec:
+        """The exact value a numerator vector stands for."""
+        return tuple(Fraction(num, den) for num, den in zip(nums, self.dens))
+
+    def pure_diffs(self, a: tuple[int, ...], b: tuple[int, ...], top: int) -> list[tuple[int, ...]]:
+        """Numerators of Delta^r P(a/L; (b/L)^r) for r = 0..top, from one ray of top + 1 values."""
+        ray = [self.numerators(a)]
+        for _ in range(top):
+            a = tuple(map(add, a, b))
+            ray.append(self.numerators(a))
+        return forward_differences(ray)
+
+    def mixed_diff(self, a: tuple[int, ...], bs: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
+        """Numerator of the mixed difference at a / L with increments b_s / L, by the vertex sum."""
+        r = len(bs)
+        total = [0] * len(self.dens)
+        for delta in product((0, 1), repeat=r):
+            pt = a
+            for d, b in zip(delta, bs):
+                if d:
+                    pt = tuple(map(add, pt, b))
+            total = list(map(sub if (r - sum(delta)) % 2 else add, total, self.numerators(pt)))
+        return tuple(total)

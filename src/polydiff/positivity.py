@@ -39,7 +39,7 @@ from .diffcalc import (
 )
 from .poly import ScalarPoly, VectorPoly, as_vector_poly
 from .sampling import DEFAULT_CONFIG, SamplerConfig, rand_vec
-from .tensor import polarize_signs, tensor_is_nonneg
+from .tensor import poly_to_tensor, tensor_is_nonneg
 from .vectors import Vec, as_vec, basis_vec, zero_vec
 
 # grid used by the cone sampling stage: step 1/2 on [0, 2] in every coordinate
@@ -70,12 +70,16 @@ class PositivityCertificate:
 
 
 def is_positive(p: VectorPoly) -> tuple[bool, PositivityCertificate]:
-    """Split into homogeneous components, polarize each, test tensor nonnegativity."""
+    """Split into homogeneous components and test each one's symmetric form.
+
+    Forms are read off the coefficients by :func:`poly_to_tensor`, with no
+    evaluations; a component's witness is its first negative basis value.
+    """
     p = as_vector_poly(p)
     entries = []
     positive = True
     for k, part in enumerate(p.homogeneous_split()):
-        tensor = polarize_signs(part, order=k)
+        tensor = poly_to_tensor(part, order=k)
         good, key = tensor_is_nonneg(tensor)
         entries.append(
             ComponentVerdict(k, good, key, tensor.value_at(key) if key is not None else None)

@@ -5,8 +5,11 @@ A(e_{i_1}, ..., e_{i_k}) with i_1 <= ... <= i_k; evaluation on arbitrary
 arguments is multilinear expansion in the basis.  Storing only sorted tuples
 makes symmetry structural rather than asserted.
 
-The two polarization routes implemented here recover A from its diagonal
-P(x) = A(x, ..., x):
+On Q^n the form of a k-homogeneous polynomial can be read off its
+coefficients: the value at the index tuple of a monomial x^e is its
+coefficient divided by multinomial(k; e) (:func:`poly_to_tensor`, the exact
+inverse of :func:`tensor_to_poly`).  The two polarization routes recover
+A from the diagonal P(x) = A(x, ..., x) by evaluation alone:
 
 * a sign sum over all choices epsilon_j = +-1 of
   (1 / (2^k k!)) sum eps_1...eps_k P(eps_1 x_1 + ... + eps_k x_k), and
@@ -14,8 +17,9 @@ P(x) = A(x, ..., x):
   (1 / k!) sum_{delta_i = 0,1} (-1)^(k - sum delta) P(x + delta_1 x_1 + ...),
 
 whose output is independent of the base point.  Both are evaluated term by
-term, deliberately avoiding linear algebra, so they can serve as mutually
-independent oracles.
+term on the integer kernel of poly.py, deliberately avoiding linear algebra
+and never reading a coefficient, so they serve as mutually independent
+oracles for the coefficient route.
 """
 
 from __future__ import annotations
@@ -23,11 +27,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
+from operator import add, sub
 from typing import Mapping, Sequence
 
 from .combinatorics import multinomial
 from .errors import DimensionError, NotHomogeneousError
-from .poly import ScalarPoly, VectorPoly, as_vector_poly
+from .poly import ClearedPoly, RayEvaluator, ScalarPoly, VectorPoly, as_vector_poly
 from .vectors import Vec, as_vec, basis_vec, vec_add, vec_scale, zero_vec
 
 
@@ -139,24 +144,46 @@ def _infer_order(pk: VectorPoly, order: int | None) -> int:
     return order
 
 
+def poly_to_tensor(pk: VectorPoly, order: int | None = None) -> SymTensor:
+    """Symmetric form of a k-homogeneous polynomial, read off its coefficients.
+
+    The exact inverse of :func:`tensor_to_poly`: the monomial x^e holds the
+    basis value at its sorted index tuple times multinomial(k; e), so that
+    value is the coefficient divided by the multinomial.  O(terms).
+    """
+    pk = as_vector_poly(pk)
+    k = _infer_order(pk, order)
+    values: dict[tuple[int, ...], list[Fraction]] = {}
+    for c, coord in enumerate(pk.coords):
+        for exps, coeff in coord.terms.items():
+            key = tuple(i for i, e in enumerate(exps) for _ in range(e))
+            vec = values.setdefault(key, [Fraction(0)] * pk.codim)
+            vec[c] = coeff / multinomial(k, [e for e in exps if e])
+    return SymTensor(k, pk.nvars, pk.codim, values)
+
+
 def polarize_signs(pk: VectorPoly, order: int | None = None) -> SymTensor:
-    """Recover the symmetric form from its diagonal via the +-1 sign sum."""
+    """Recover the symmetric form from its diagonal via the +-1 sign sum.
+
+    Evaluates P only, never reads its coefficients: each signed basis sum is
+    an integer point, evaluated once as integer numerators, and the division
+    by 2^k k! and the coefficient denominator comes at the end.
+    """
     pk = as_vector_poly(pk)
     k = _infer_order(pk, order)
     n = pk.nvars
-    scale = Fraction(1, 2**k * math.factorial(k))
+    evaluator = RayEvaluator(ClearedPoly(pk), 1)
+    scale = 2**k * math.factorial(k)
     values = {}
     for key in combinations_with_replacement(range(n), k):
-        acc = zero_vec(pk.codim)
+        acc = [0] * pk.codim
         for signs in product((1, -1), repeat=k):
-            point = zero_vec(n)
+            point = [0] * n
             for s, i in zip(signs, key):
-                point = vec_add(point, vec_scale(s, basis_vec(i, n)))
-            parity = 1
-            for s in signs:
-                parity *= s
-            acc = vec_add(acc, vec_scale(parity, pk.evaluate(point)))
-        values[key] = vec_scale(scale, acc)
+                point[i] += s
+            nums = evaluator.numerators(tuple(point))
+            acc = list(map(add if math.prod(signs) > 0 else sub, acc, nums))
+        values[key] = [Fraction(num, scale * den) for num, den in zip(acc, evaluator.dens)]
     return SymTensor(k, n, pk.codim, values)
 
 
@@ -164,7 +191,10 @@ def polarize_mo(pk: VectorPoly, base: Sequence, order: int | None = None) -> Sym
     """Recover the symmetric form via the 0/1 vertex sum anchored at ``base``.
 
     The result does not depend on the base point; with base 0 the sign sum of
-    :func:`polarize_signs` is the special case.
+    :func:`polarize_signs` is the special case.  Evaluates P only: the vertex
+    sum is :meth:`RayEvaluator.mixed_diff` over the common denominator of the
+    base and the basis, so vertices shared between index tuples are
+    evaluated once, and the division by k! comes at the end.
     """
     pk = as_vector_poly(pk)
     k = _infer_order(pk, order)
@@ -172,18 +202,12 @@ def polarize_mo(pk: VectorPoly, base: Sequence, order: int | None = None) -> Sym
     x = as_vec(base)
     if len(x) != n:
         raise DimensionError(f"base point length {len(x)}, expected {n}")
-    scale = Fraction(1, math.factorial(k))
+    evaluator, (a, *units) = ClearedPoly(pk).over([x, *(basis_vec(i, n) for i in range(n))])
+    scale = math.factorial(k)
     values = {}
     for key in combinations_with_replacement(range(n), k):
-        acc = zero_vec(pk.codim)
-        for delta in product((0, 1), repeat=k):
-            point = x
-            for d, i in zip(delta, key):
-                if d:
-                    point = vec_add(point, basis_vec(i, n))
-            sign = (-1) ** (k - sum(delta))
-            acc = vec_add(acc, vec_scale(sign, pk.evaluate(point)))
-        values[key] = vec_scale(scale, acc)
+        nums = evaluator.mixed_diff(a, [units[i] for i in key])
+        values[key] = [Fraction(num, scale * den) for num, den in zip(nums, evaluator.dens)]
     return SymTensor(k, n, pk.codim, values)
 
 

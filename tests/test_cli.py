@@ -101,6 +101,14 @@ def test_degree_bound_fail_and_search(capsys):
     assert "3" in out
 
 
+def test_degree_on_eight_variables_answers_with_witness(capsys):
+    code, out, _ = invoke(capsys, "degree", "x1^2*x2*x3*x4*x5*x6*x7*x8", "--max", "1", "--json")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["verdict"] == "fail"
+    assert payload["witnesses"] == [{"points": [["0"] * 8, ["1"] * 8, ["1"] * 8], "value": ["510"]}]
+
+
 def test_positivity_exit_codes(capsys):
     code, out, _ = invoke(capsys, "positivity", "x1*x2 + x1")
     assert code == 0

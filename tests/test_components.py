@@ -1,7 +1,10 @@
 """Component extraction by three routes against the coefficient-split oracle."""
 
 from fractions import Fraction
+from itertools import product
 from random import Random
+
+import pytest
 
 from polydiff.components import (
     component_by_scaling,
@@ -10,16 +13,17 @@ from polydiff.components import (
     degree_search,
     degree_test,
     interpolation_component_polys,
+    nonzero_point,
     stirling_component_polys,
     tensor_by_scaling,
     vandermonde_inverse,
 )
-from polydiff.diffcalc import BlackBoxFn, pure_diff_at
+from polydiff.diffcalc import BlackBoxFn, Witness, pure_diff_at
 from polydiff.poly import ScalarPoly, VectorPoly, as_vector_poly, variables
 from polydiff.positivity import counterexample_cubic
 from polydiff.sampling import SamplerConfig, rand_vec, rand_vector_poly
 from polydiff.tensor import SymTensor, polarize_signs
-from polydiff.vectors import zero_vec
+from polydiff.vectors import as_vec, zero_vec
 
 CFG = SamplerConfig(numerator_bound=7, denominator_bound=4)
 
@@ -222,3 +226,47 @@ def test_degree_search_cap_exhausted():
     least, report = degree_search(f, cap=3)
     assert least is None
     assert report.failed
+
+
+def lex_scan(p: VectorPoly):
+    """Reference: first point of {0..d+1}^n, in lexicographic order, where p does not vanish."""
+    for pt in product(range((p.degree() or 0) + 2), repeat=p.nvars):
+        value = p.evaluate(pt)
+        if any(value):
+            return as_vec(pt), value
+    raise AssertionError("nonzero polynomial vanished on its grid")
+
+
+def test_nonzero_point_is_the_lex_first_grid_point():
+    rng = Random(53)
+    x1, x2, x3 = variables(3)
+    only_second = VectorPoly((x1 * (x1 - 1), x2 * x3))  # only the second coordinate survives at the witness
+    polys = [rand_vector_poly(rng, rng.randint(1, 3), rng.randint(0, 3), codim=rng.randint(1, 2)) for _ in range(40)]
+    polys += [
+        as_vector_poly(x1 * (x1 - 1) * (x1 - 2) * (x2 - 3)),  # leading variables must skip roots
+        only_second,
+        VectorPoly((ScalarPoly.zero(3), x2 * x3 * (x3 - 1) - x1)),  # one coordinate is identically zero
+        VectorPoly.constant(0, [0, Fraction(5, 2)]),
+    ]
+    checked = 0
+    for p in polys:
+        if p.is_zero:
+            with pytest.raises(ValueError):
+                nonzero_point(p)
+            continue
+        assert nonzero_point(p) == lex_scan(p)
+        checked += 1
+    assert checked >= 30
+    assert nonzero_point(only_second) == ((0, 1, 1), (0, 1))
+
+
+def test_degree_test_many_variables_returns_lex_first_witness():
+    # the order-2 difference lives on 16 variables: a grid scan would face 11^16 points
+    xs = variables(8)
+    p = xs[0] ** 2
+    for x in xs[1:]:
+        p = p * x
+    report = degree_test(BlackBoxFn.from_poly(p), 1)
+    zeros, ones = (Fraction(0),) * 8, (Fraction(1),) * 8
+    assert report.verdict == "fail"
+    assert report.witnesses == [Witness((zeros, ones, ones), (Fraction(510),))]

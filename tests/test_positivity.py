@@ -6,6 +6,7 @@ from random import Random
 from polydiff.diffcalc import BlackBoxFn, mixed_diff_at, symbolic_pure_diff
 from polydiff.poly import VectorPoly, as_vector_poly, variables
 from polydiff.positivity import (
+    ComponentVerdict,
     affine_line_positive,
     affine_line_restriction,
     counterexample_cubic,
@@ -15,6 +16,7 @@ from polydiff.positivity import (
     pure_diff_nonneg_check,
 )
 from polydiff.sampling import SamplerConfig, rand_vec, rand_vector_poly
+from polydiff.tensor import polarize_signs, tensor_is_nonneg
 from polydiff.vectors import basis_vec, vec_add, vec_le, zero_vec
 
 CFG = SamplerConfig(seed=1, samples=16)
@@ -44,6 +46,22 @@ def test_is_positive_matches_coefficient_oracle():
         n = rng.randint(1, 3)
         p = rand_vector_poly(rng, n, 4, codim=rng.randint(1, 2))
         assert is_positive(p)[0] == all_coeffs_nonneg(p)
+
+
+def test_is_positive_certificate_equals_polarization_route():
+    """The coefficient route gives the certificate the sign-sum polarization gives."""
+    rng = Random(211)
+    for _ in range(60):
+        n = rng.randint(1, 3)
+        p = rand_vector_poly(rng, n, 4, codim=rng.randint(1, 2), coeff_den_bound=5)
+        expected = []
+        for k, part in enumerate(p.homogeneous_split()):
+            tensor = polarize_signs(part, order=k)
+            good, key = tensor_is_nonneg(tensor)
+            expected.append(ComponentVerdict(k, good, key, None if key is None else tensor.value_at(key)))
+        positive, cert = is_positive(p)
+        assert cert.components == tuple(expected)
+        assert positive == all(entry.nonneg for entry in expected)
 
 
 def test_mixed_sample_positive_polynomial_passes():

@@ -6,13 +6,14 @@ from random import Random
 import pytest
 
 from polydiff.errors import DimensionError, NotHomogeneousError
-from polydiff.poly import as_vector_poly, variables
+from polydiff.poly import ScalarPoly, VectorPoly, as_vector_poly, variables
 from polydiff.positivity import counterexample_cubic
 from polydiff.sampling import SamplerConfig, rand_homogeneous_poly, rand_vec
 from polydiff.tensor import (
     SymTensor,
     polarize_mo,
     polarize_signs,
+    poly_to_tensor,
     tensor_apply_powers,
     tensor_eval,
     tensor_is_nonneg,
@@ -162,3 +163,43 @@ def test_order_zero_tensor_is_constant():
     assert tensor_eval(tensor, []) == (Fraction(4), Fraction(-1))
     poly = tensor_to_poly(tensor)
     assert poly.evaluate((9, 9, 9)) == (Fraction(4), Fraction(-1))
+
+
+def test_coefficient_route_equals_both_polarizations():
+    """poly_to_tensor reads coefficients; the two polarizations only evaluate."""
+    rng = Random(41)
+    cfg = SamplerConfig(numerator_bound=7, denominator_bound=5)
+    forms = [
+        rand_homogeneous_poly(
+            rng, rng.randint(1, 4), rng.randint(1, 4), codim=rng.randint(1, 2), coeff_den_bound=6
+        )
+        for _ in range(40)
+    ]
+    zero_coord = VectorPoly(
+        (ScalarPoly(3, {(1, 2, 0): Fraction(-5, 3), (0, 0, 3): Fraction(7, 2)}), ScalarPoly.zero(3))
+    )
+    constant = VectorPoly.constant(2, [Fraction(-4, 9), Fraction(3)])  # order 0
+    for p in forms + [zero_coord, constant]:
+        tensor = poly_to_tensor(p)
+        assert tensor.order == p.degree()
+        assert polarize_signs(p) == tensor
+        for _ in range(3):
+            assert polarize_mo(p, rand_vec(rng, p.nvars, cfg)) == tensor
+        assert tensor_to_poly(tensor) == p
+
+
+def test_coefficient_route_zero_form_and_errors():
+    zero = VectorPoly.zero(3, 2)
+    for k in (0, 2, 3):
+        expected = SymTensor.zero(k, 3, 2)
+        assert poly_to_tensor(zero, order=k) == expected
+        assert polarize_signs(zero, order=k) == expected
+        assert polarize_mo(zero, (1, Fraction(-2, 3), 5), order=k) == expected
+    x1, x2 = variables(2)
+    with pytest.raises(NotHomogeneousError):
+        poly_to_tensor(zero)
+    with pytest.raises(NotHomogeneousError):
+        poly_to_tensor(x1**2 + x2)
+    with pytest.raises(NotHomogeneousError):
+        poly_to_tensor(x1 * x2, order=3)
+    assert poly_to_tensor(x1**2 * x2).value_at((1, 0, 0)) == (Fraction(1, 3),)
