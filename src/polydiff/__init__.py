@@ -33,6 +33,7 @@ from .errors import (
     NotHomogeneousError,
     ParseError,
     PolydiffError,
+    ResourceLimitError,
 )
 from .kantorovich import ConeFunction, ExtensionResult, jordan_parts, kantorovich_extend
 from .parser import format_poly, parse
@@ -63,6 +64,7 @@ __all__ = [
     "NotHomogeneousError",
     "ParseError",
     "PolydiffError",
+    "ResourceLimitError",
     "SamplerConfig",
     "ScalarPoly",
     "SymTensor",

@@ -287,7 +287,6 @@ def cmd_positivity(ns) -> int:
         }
         lines.append(f"pure cone check (orders 0..{ns.order}): {pure_report.verdict}")
         lines.append(f"seed: {pure_report.seed}")
-        report.samples_used += pure_report.samples_used
         if pure_report.failed:
             exit_code = 1
     _emit(ns, "positivity", report, result, lines)

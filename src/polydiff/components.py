@@ -245,7 +245,10 @@ def degree_witness(p: VectorPoly, m: int) -> Witness | None:
 
     None when they do; otherwise the witness (x, h, ..., h) at the
     lex-first nonvanishing point of the symbolic difference over [x | h].
+    Over Q they vanish exactly when deg p <= m, which needs no expansion.
     """
+    if (p.degree() or 0) <= m:
+        return None
     sym = symbolic_pure_diff(p, m + 1)
     if sym.is_zero:
         return None

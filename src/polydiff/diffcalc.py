@@ -30,8 +30,16 @@ from itertools import product
 from typing import Callable, Sequence
 
 from .combinatorics import binomial, multinomial, stirling1_unsigned, stirling2
-from .errors import DimensionError
-from .poly import ClearedPoly, RayEvaluator, ScalarPoly, VectorPoly, as_vector_poly, forward_differences
+from .errors import DimensionError, ResourceLimitError
+from .poly import (
+    ClearedPoly,
+    RayEvaluator,
+    ScalarPoly,
+    VectorPoly,
+    as_vector_poly,
+    common_numerators,
+    forward_differences,
+)
 from .tensor import SymTensor, tensor_apply_powers
 from .vectors import Vec, as_vec, vec_add, vec_scale, zero_vec
 
@@ -39,6 +47,7 @@ VERDICT_PASS = "pass"
 VERDICT_FAIL = "fail"
 VERDICT_CERTIFIED = "certified"
 VERDICT_PROBABILISTIC = "probabilistic"
+SYMBOLIC_TERM_LIMIT = 2**14  # terms symbolic_pure_diff may expand
 
 
 @dataclass(frozen=True)
@@ -215,13 +224,21 @@ def newton_stirling_matrix(m: int) -> tuple[tuple[Fraction, ...], ...]:
 
 
 def newton_components(diffs: Sequence[Vec]) -> list[Vec]:
-    """Values (f_0(x), ..., f_m(x)) from the pure differences Delta^j f(0; x^j), j = 0..m."""
-    matrix = newton_stirling_matrix(len(diffs) - 1)
-    codim = len(diffs[0])
-    return [
-        tuple(sum((c * d[i] for c, d in zip(row, diffs) if c), Fraction(0)) for i in range(codim))
-        for row in matrix
-    ]
+    """Values (f_0(x), ..., f_m(x)) from the pure differences Delta^j f(0; x^j), j = 0..m.
+
+    Runs on integer numerators over one common denominator L.
+    """
+    return newton_components_of_numerators(*common_numerators(diffs))
+
+
+def newton_components_of_numerators(nums: Sequence[Sequence[int]], den: int) -> list[Vec]:
+    """:func:`newton_components` of nums[j] / den: the matrix rows scaled by m! are integers."""
+    scale = math.factorial(len(nums) - 1)
+    out = []
+    for row in newton_stirling_matrix(len(nums) - 1):
+        weights = [(c.numerator * (scale // c.denominator), d) for c, d in zip(row, nums) if c]
+        out.append(tuple(Fraction(sum(w * d[i] for w, d in weights), scale * den) for i in range(len(nums[0]))))
+    return out
 
 
 def block_names(n: int, r: int) -> list[str]:
@@ -266,10 +283,18 @@ def symbolic_mixed_diff(p: VectorPoly, r: int) -> VectorPoly:
 
 
 def symbolic_pure_diff(p: VectorPoly, r: int) -> VectorPoly:
-    """Pure difference as a polynomial over [x | h] (2n variables)."""
+    """Pure difference as a polynomial over [x | h] (2n variables).
+
+    Raises ResourceLimitError when x -> x + k h may expand P past SYMBOLIC_TERM_LIMIT terms.
+    """
     if r < 0:
         raise ValueError("difference order must be nonnegative")
     p = as_vector_poly(p)
+    bound = sum(math.prod(e + 1 for e in exps) for coord in p.coords for exps in coord.terms)
+    if bound > SYMBOLIC_TERM_LIMIT:
+        raise ResourceLimitError(
+            f"symbolic pure difference would expand to up to {bound} terms, above the limit of {SYMBOLIC_TERM_LIMIT}"
+        )
     n = p.nvars
     big = 2 * n
     gens = [ScalarPoly.variable(i, big) for i in range(big)]

@@ -37,6 +37,10 @@ class ExtensionHypothesisError(PolydiffError):
         super().__init__(detail)
 
 
+class ResourceLimitError(PolydiffError):
+    """An input would make a computation exceed a fixed size limit."""
+
+
 class ParseError(PolydiffError):
     """Syntax or identifier error in a polynomial expression, with position."""
 

@@ -14,7 +14,8 @@ construction is fully finite:
   where f_k(x) = sum_{j=k}^{m} (1/j!) c(j,k) (-1)^(j-k) Delta^j f(0; x^j);
 * each f_k is k-homogeneous on the cone and its symmetric form has basis
   values (1/k!) Delta^k f_k(0; e_{i_1}, ..., e_{i_k}); every evaluation point
-  in that difference is a 0/1 sum of basis vectors, hence inside the cone;
+  in that difference is a 0/1 sum of basis vectors, hence inside the cone,
+  and is read once from a vertex table shared by all basis tuples;
 * off-cone arguments are reached by multilinear expansion, which in finite
   dimensions is literally the variable-at-a-time x = x+ - x- extension (the
   test suite compares both computations on mixed-sign arguments).
@@ -29,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from random import Random
 from typing import Callable, Sequence
 
@@ -39,9 +40,10 @@ from .diffcalc import (
     VERDICT_PROBABILISTIC,
     DiffReport,
     Witness,
+    common_numerators,
     forward_differences,
     mixed_diff_at,
-    newton_components,
+    newton_components_of_numerators,
     pure_diff_at,
 )
 from .components import degree_witness
@@ -268,28 +270,30 @@ def check_extension_hypotheses(
 def cone_components(f: ConeFunction, m: int, x: Sequence) -> list[Vec]:
     """Values (f_0(x), ..., f_m(x)) rearranged from the Newton expansion at 0.
 
-    Requires x in the cone.  The samples f(i x), i = 0..m+1, give the pure
-    differences Delta^j f(0; x^j) along the ray, and the cached
-    Newton-Stirling matrix turns those of orders 0..m into the component
-    values.  The rearrangement reproduces f(n x) = sum_k f_k(x) n^k exactly
-    for n = 0..m, so the one consistency check left is n = m+1: it holds
-    exactly when the order-(m+1) pure difference along x vanishes, and
-    raises with that difference as the witness value otherwise.
+    Requires x in the cone.  The samples f(i x), i = 0..m+1, over one common
+    denominator give the pure differences Delta^j f(0; x^j) along the ray as
+    integer numerators, and the integer Newton-Stirling rows turn those of
+    orders 0..m into the component values.  The rearrangement reproduces
+    f(n x) = sum_k f_k(x) n^k exactly for n = 0..m, so the one consistency
+    check left is n = m+1: it holds exactly when the order-(m+1) pure
+    difference along x vanishes, and raises with that difference as the
+    witness value otherwise.
     """
     pt = as_vec(x)
     if len(pt) != f.nvars:
         raise DimensionError(f"point length {len(pt)}, expected {f.nvars}")
     if not vec_is_nonneg(pt):
         raise ConeDomainError(f"point {pt} lies outside the positive cone")
-    diffs = forward_differences([f(vec_scale(i, pt)) for i in range(m + 2)])
+    nums, den = common_numerators([f(vec_scale(i, pt)) for i in range(m + 2)])
+    diffs = forward_differences(nums)
     if any(diffs[m + 1]):
         raise ExtensionHypothesisError(
             "(i)",
-            Witness((pt,), diffs[m + 1]),
+            Witness((pt,), tuple(Fraction(d, den) for d in diffs[m + 1])),
             f"Newton consistency fails at multiplier {m + 1} along {pt}: "
             "order-(m+1) differences do not vanish on this ray",
         )
-    return newton_components(diffs[: m + 1])
+    return newton_components_of_numerators(diffs[: m + 1], den)
 
 
 def homogeneous_extend(
@@ -297,8 +301,11 @@ def homogeneous_extend(
 ) -> SymTensor:
     """Symmetric form of a k-homogeneous cone function from basis differences.
 
-    Basis values are (1/k!) Delta^k f_k(0; e_{i_1}, ..., e_{i_k}); all points
-    touched lie in the cone.  The hypotheses (vanishing order-(k+1) pure
+    Basis values are (1/k!) Delta^k f_k(0; e_{i_1}, ..., e_{i_k}), summed with
+    integer signs over one table of vertices (0/1 sums of basis vectors, all
+    in the cone) shared by all basis tuples; each vertex is evaluated once,
+    in the order mixed_diff_at's vertex sums first touch it, so a failure
+    raises where it would there.  The hypotheses (vanishing order-(k+1) pure
     differences at 0 and f_k(p x) = p^k f_k(x) for small natural p) are spot
     checked at seeded cone points, as is agreement of the rebuilt diagonal
     with f_k; violations raise.  The extension to mixed-sign arguments is
@@ -311,7 +318,7 @@ def homogeneous_extend(
     spots = [_draw_cone_vec(rng, fk, cfg) for _ in range(SPOT_SAMPLES)]
     for h in spots:
         try:
-            value = pure_diff_at(fk, zero_vec(n), h, k + 1)
+            value = forward_differences([fk(vec_scale(i, h)) for i in range(k + 2)])[k + 1]
         except MissingSampleError:
             continue
         if any(value):
@@ -333,11 +340,21 @@ def homogeneous_extend(
                     )
         except MissingSampleError:
             continue
-    inv = Fraction(1, math.factorial(k))
+    fact = math.factorial(k)
+    table: dict[tuple[int, ...], Vec] = {}
     values = {}
     for key in combinations_with_replacement(range(n), k):
-        hs = [basis_vec(i, n) for i in key]
-        values[key] = vec_scale(inv, mixed_diff_at(fk, zero_vec(n), hs))
+        weights: dict[tuple[int, ...], int] = {}
+        for delta in product((0, 1), repeat=k):
+            vertex = [0] * n
+            for d, i in zip(delta, key):
+                vertex[i] += d
+            vertex = tuple(vertex)
+            weights[vertex] = weights.get(vertex, 0) + (-1) ** (k - sum(delta))
+        for vertex in weights:
+            if vertex not in table:
+                table[vertex] = fk(vertex)
+        values[key] = tuple(sum(w * table[v][c] for v, w in weights.items()) / fact for c in range(fk.codim))
     tensor = SymTensor(k, n, fk.codim, values)
     diag = tensor_to_poly(tensor)
     for x in spots:
@@ -372,12 +389,12 @@ def kantorovich_extend(
         raise ExtensionHypothesisError("(ii)", wit_ii[0], "a mixed difference is negative on the cone")
     hypothesis_report = DiffReport(VERDICT_PASS if exact else VERDICT_PROBABILISTIC, [], used, cfg.seed)
 
-    value_cache: dict[Vec, Vec] = {}
+    value_cache: dict[Vec, Sequence] = {}
 
-    def cached_eval(pt: Vec) -> Vec:
+    def cached_eval(pt: Vec) -> Sequence:
         got = value_cache.get(pt)
         if got is None:
-            got = f(pt)
+            got = f.fn(pt)
             value_cache[pt] = got
         return got
 
@@ -393,9 +410,7 @@ def kantorovich_extend(
 
     tensors = []
     for k in range(m + 1):
-        fk = ConeFunction(
-            f.nvars, f.codim, lambda pt, k=k: comps_at(as_vec(pt))[k], pool=f.pool
-        )
+        fk = ConeFunction(f.nvars, f.codim, lambda pt, k=k: comps_at(pt)[k], pool=f.pool)
         tensors.append(homogeneous_extend(fk, k, cfg))
     poly = VectorPoly.zero(f.nvars, f.codim)
     for tensor in tensors:
@@ -417,7 +432,7 @@ def kantorovich_extend(
             attempts += 1
             x = _draw_cone_vec(rng2, f, cfg)
             try:
-                expected = cached_eval(x)
+                expected = cached(x)
             except MissingSampleError:
                 continue
             used += 1

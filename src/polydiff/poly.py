@@ -392,6 +392,12 @@ def forward_differences(values: Sequence[Sequence]) -> list[tuple]:
     return out
 
 
+def common_numerators(vectors: Sequence[Sequence]) -> tuple[list[tuple[int, ...]], int]:
+    """Integer numerators of rational vectors over their least common denominator L, and L."""
+    den = math.lcm(*(c.denominator for v in vectors for c in v))
+    return [tuple(c.numerator * (den // c.denominator) for c in v) for v in vectors], den
+
+
 class ClearedPoly:
     """A polynomial map written as P_c = Q_c / D_c with integer Q_c, per coordinate.
 
@@ -419,8 +425,7 @@ class ClearedPoly:
 
     def over(self, vectors: Sequence[Sequence]) -> tuple["RayEvaluator", list[tuple[int, ...]]]:
         """Evaluator for the vectors' common denominator L, and each vector times L."""
-        scale = math.lcm(*(c.denominator for v in vectors for c in v))
-        ints = [tuple(c.numerator * (scale // c.denominator) for c in v) for v in vectors]
+        ints, scale = common_numerators(vectors)
         return RayEvaluator(self, scale), ints
 
 

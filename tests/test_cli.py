@@ -3,6 +3,7 @@
 import json
 
 from polydiff.cli import run
+from polydiff.diffcalc import SYMBOLIC_TERM_LIMIT
 
 
 def invoke(capsys, *argv):
@@ -107,6 +108,23 @@ def test_degree_on_eight_variables_answers_with_witness(capsys):
     payload = json.loads(out)
     assert payload["verdict"] == "fail"
     assert payload["witnesses"] == [{"points": [["0"] * 8, ["1"] * 8, ["1"] * 8], "value": ["510"]}]
+
+
+def test_degree_rejects_an_oversized_symbolic_expansion(capsys):
+    expr = "*".join(["x1^2"] + [f"x{i}" for i in range(2, 21)])
+    code, out, err = invoke(capsys, "degree", expr, "--max", "1", "--json")
+    assert code == 2
+    assert out == ""
+    assert f"up to {3 * 2**19} terms, above the limit of {SYMBOLIC_TERM_LIMIT}" in err
+
+
+def test_positivity_samples_count_only_the_pure_check(capsys):
+    argv = ["positivity", "x1^2-x1*x2+x2^2", "--json", "--seed", "3", "--pure-check", "--order", "3"]
+    code, out, _ = invoke(capsys, *argv)
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["samples"] == 0  # the verdict is read off the coefficients
+    assert payload["result"]["pure_check"]["samples"] == 1467
 
 
 def test_positivity_exit_codes(capsys):

@@ -2,12 +2,16 @@
 
 import math
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
 
+import polydiff
+
 from polydiff.combinatorics import stirling2
 from polydiff.diffcalc import (
+    SYMBOLIC_TERM_LIMIT,
     BlackBoxFn,
     block_names,
     homog_mixed_diff_closed,
@@ -20,7 +24,7 @@ from polydiff.diffcalc import (
     symbolic_mixed_diff,
     symbolic_pure_diff,
 )
-from polydiff.errors import DimensionError
+from polydiff.errors import DimensionError, PolydiffError, ResourceLimitError
 from polydiff.poly import ScalarPoly, as_vector_poly, variables
 from polydiff.positivity import counterexample_cubic
 from polydiff.sampling import (
@@ -284,3 +288,52 @@ def test_black_box_validates_dimensions():
         f((1, 2))
     with pytest.raises(DimensionError):
         mixed_diff_at(f, (1,), [(1, 2)])
+
+
+def product_monomial(n):
+    xs = variables(n)
+    p = xs[0] ** 2
+    for x in xs[1:]:
+        p = p * x
+    return p
+
+
+def term_bound(p):
+    """The size bound symbolic_pure_diff checks: sum over terms of prod (e_i + 1)."""
+    return sum(math.prod(e + 1 for e in exps) for coord in as_vector_poly(p).coords for exps in coord.terms)
+
+
+def test_symbolic_pure_diff_rejects_oversized_expansion():
+    assert issubclass(ResourceLimitError, PolydiffError)
+    assert "ResourceLimitError" in polydiff.__all__
+    p = product_monomial(14)
+    assert term_bound(p) == 3 * 2**13 > SYMBOLIC_TERM_LIMIT
+    with pytest.raises(ResourceLimitError, match=f"up to 24576 terms, above the limit of {SYMBOLIC_TERM_LIMIT}"):
+        symbolic_pure_diff(p, 2)
+    assert term_bound(product_monomial(8)) == 3 * 2**7
+    assert not symbolic_pure_diff(product_monomial(8), 2).is_zero
+
+
+def test_bench_inputs_stay_far_below_the_term_limit(monkeypatch):
+    """Every symbolic pure difference the benchmark workloads take is small."""
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    monkeypatch.syspath_prepend(str(bench))
+    import workloads
+    from polydiff import cli, components, diffcalc, positivity
+
+    bounds = []
+
+    def recording(p, r):
+        bounds.append(term_bound(p))
+        return symbolic_pure_diff(p, r)
+
+    for module in (cli, components, diffcalc, positivity):
+        monkeypatch.setattr(module, "symbolic_pure_diff", recording)
+    for workload in workloads.WORKLOADS.values():
+        rng = Random(101)
+        for op in workload.prelude(rng) + workload.round(rng):
+            try:
+                op.call()
+            except PolydiffError:
+                pass
+    assert bounds and max(bounds) * 100 < SYMBOLIC_TERM_LIMIT
