@@ -15,9 +15,11 @@ integer ray kernel of poly.py (:class:`ClearedPoly`, :class:`RayEvaluator`,
 re-exported here with :func:`forward_differences`): every value and every
 difference is an integer numerator over a known positive denominator.
 
-Symbolic variants act on VectorPoly values in an enlarged ring of n(1+r)
+Symbolic variants return VectorPoly values in an enlarged ring of n(1+r)
 variables with block layout [x | h_1 | ... | h_r]; :func:`block_names` gives
 the canonical variable names (x1..xn, h1_1..h1_n, ...) used by the formatter.
+They are read off the coefficients in closed form: Stirling-weighted
+binomials for pure differences, multinomials for mixed ones.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ VERDICT_PASS = "pass"
 VERDICT_FAIL = "fail"
 VERDICT_CERTIFIED = "certified"
 VERDICT_PROBABILISTIC = "probabilistic"
-SYMBOLIC_TERM_LIMIT = 2**14  # terms symbolic_pure_diff may expand
+SYMBOLIC_TERM_LIMIT = 2**14  # splits a symbolic difference may expand
 
 
 @dataclass(frozen=True)
@@ -249,60 +251,74 @@ def block_names(n: int, r: int) -> list[str]:
     return names
 
 
-def _lift_blocks(p: VectorPoly, r: int) -> VectorPoly:
-    """Reinterpret P over the n(1+r)-variable ring, x occupying block 0."""
-    n = p.nvars
-    pad = (0,) * (n * r)
-    coords = tuple(
-        ScalarPoly._build(n * (1 + r), {e + pad: c for e, c in coord.terms.items()})
-        for coord in p.coords
-    )
+def _weighted_splits(k: int, blocks: int) -> list[tuple[tuple[int, ...], int]]:
+    """Every ordered split k = a_0 + ... + a_(blocks-1) into nonnegative parts, with multinomial(k; a)."""
+    rows = [((), 1, k)]
+    for _ in range(blocks - 1):
+        rows = [(parts + (j,), w * math.comb(left, j), left - j) for parts, w, left in rows for j in range(left + 1)]
+    return [(parts + (left,), w) for parts, w, left in rows]
+
+
+def _expand_splits(p: VectorPoly, r: int, blocks: int, kind: str, weigh: Callable) -> VectorPoly:
+    """Sum of c_e weigh(a) prod_i multinomial(e_i; a_0i, a_1i, ...) x^(a_0 | a_1 | ...) over terms and splits.
+
+    A split writes e = a_0 + a_1 + ... in the given number of blocks; the
+    monomial fixes the term and the split, so each pair writes its own key.
+    Terms of degree below r are skipped (both callers weigh them zero).
+    Raises ResourceLimitError above SYMBOLIC_TERM_LIMIT splits.
+    """
+    bound = sum(math.prod(math.comb(k + blocks - 1, k) for k in e) for coord in p.coords for e in coord.terms)
+    if bound > SYMBOLIC_TERM_LIMIT:
+        raise ResourceLimitError(
+            f"symbolic {kind} difference would expand to up to {bound} terms, above the limit of {SYMBOLIC_TERM_LIMIT}"
+        )
+    splits = lru_cache(maxsize=None)(lambda k: _weighted_splits(k, blocks))
+    coords = []
+    for coord in p.coords:
+        out = {}
+        for e, c in coord.terms.items():
+            if sum(e) < r:
+                continue
+            for split in product(*map(splits, e)):
+                key = tuple(parts[s] for s in range(blocks) for parts, _ in split)
+                w = weigh(key)
+                if w:
+                    out[key] = c * w * math.prod(m for _, m in split)
+        coords.append(ScalarPoly._build(p.nvars * blocks, out))
     return VectorPoly(coords)
 
 
 def symbolic_mixed_diff(p: VectorPoly, r: int) -> VectorPoly:
     """Mixed difference as a polynomial in (x, h_1, ..., h_r).
 
-    Evaluating the result at concrete blocks equals mixed_diff_at on P.  The
-    recursion substitutes x -> x + h_s one block at a time, which keeps the
-    intermediate polynomials small when P has bounded degree.
+    Evaluating the result at concrete blocks equals mixed_diff_at on P.  By
+    inclusion-exclusion over the vertex sum, a monomial x^e contributes
+    prod_i multinomial(e_i; a_0i, ..., a_ri) x^a_0 h_1^a_1 ... h_r^a_r for
+    every split e = a_0 + a_1 + ... + a_r whose blocks a_1, ..., a_r are all
+    nonzero, and nothing else.  Raises ResourceLimitError above
+    SYMBOLIC_TERM_LIMIT splits, sum_e prod_i C(e_i + r, r).
     """
     if r < 0:
         raise ValueError("difference order must be nonnegative")
     p = as_vector_poly(p)
     n = p.nvars
-    big = n * (1 + r)
-    cur = _lift_blocks(p, r)
-    gens = [ScalarPoly.variable(i, big) for i in range(big)]
-    for s in range(1, r + 1):
-        args = list(gens)
-        for i in range(n):
-            args[i] = gens[i] + gens[n * s + i]
-        cur = cur.compose(args, nvars_out=big) - cur
-    return cur
+    return _expand_splits(p, r, r + 1, "mixed", lambda a: all(any(a[n * s : n * (s + 1)]) for s in range(1, r + 1)))
 
 
 def symbolic_pure_diff(p: VectorPoly, r: int) -> VectorPoly:
     """Pure difference as a polynomial over [x | h] (2n variables).
 
-    Raises ResourceLimitError when x -> x + k h may expand P past SYMBOLIC_TERM_LIMIT terms.
+    Since sum_k (-1)^(r-k) C(r, k) k^j = r! S(j, r), a monomial x^e
+    contributes r! S(|a|, r) prod_i C(e_i, a_i) x^(e-a) h^a for every a <= e
+    (zero unless |a| >= r).  Raises ResourceLimitError when x -> x + h would
+    expand P past SYMBOLIC_TERM_LIMIT terms, sum_e prod_i (e_i + 1).
     """
     if r < 0:
         raise ValueError("difference order must be nonnegative")
     p = as_vector_poly(p)
-    bound = sum(math.prod(e + 1 for e in exps) for coord in p.coords for exps in coord.terms)
-    if bound > SYMBOLIC_TERM_LIMIT:
-        raise ResourceLimitError(
-            f"symbolic pure difference would expand to up to {bound} terms, above the limit of {SYMBOLIC_TERM_LIMIT}"
-        )
     n = p.nvars
-    big = 2 * n
-    gens = [ScalarPoly.variable(i, big) for i in range(big)]
-    total = VectorPoly.zero(big, p.codim)
-    for k in range(r + 1):
-        args = [gens[i] + k * gens[n + i] for i in range(n)]
-        total = total + ((-1) ** (r - k) * binomial(r, k)) * p.compose(args, nvars_out=big)
-    return total
+    weight = lru_cache(maxsize=None)(lambda j: math.factorial(r) * stirling2(j, r))
+    return _expand_splits(p, r, 2, "pure", lambda a: weight(sum(a[n:])))
 
 
 def homog_mixed_diff_closed(tensor: SymTensor, x: Sequence, hs: Sequence[Sequence]) -> Vec:

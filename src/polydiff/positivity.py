@@ -175,12 +175,12 @@ def pure_diff_nonneg_check(
             nums = on_grid.numerators(a)
             if any(c < 0 for c in nums):
                 witnesses.append(Witness((x,), on_grid.value(nums)))
-    total_pairs = len(points) ** 2
-    stride = max(1, -(-total_pairs // GRID_PAIR_CAP))  # ceil division
+    size = len(points)
+    stride = max(1, -(-size * size // GRID_PAIR_CAP))  # ceil division
     if orders:
-        for idx, ((x, a), (h, b)) in enumerate(product(list(zip(points, ints)), repeat=2)):
-            if idx % stride:
-                continue
+        for idx in range(0, size * size, stride):  # every stride-th pair of product(points, repeat=2)
+            i, j = divmod(idx, size)
+            x, a, h, b = points[i], ints[i], points[j], ints[j]
             diffs = on_grid.pure_diffs(a, b, orders[-1])
             for r in orders:
                 used += 1

@@ -118,6 +118,13 @@ def test_degree_rejects_an_oversized_symbolic_expansion(capsys):
     assert f"up to {3 * 2**19} terms, above the limit of {SYMBOLIC_TERM_LIMIT}" in err
 
 
+def test_diff_rejects_an_oversized_symbolic_mixed_expansion(capsys):
+    code, out, err = invoke(capsys, "diff", "x1^4*x2^4*x3^4", "--symbolic", "--mixed", "--order", "5")
+    assert code == 2
+    assert out == ""
+    assert f"mixed difference would expand to up to {126**3} terms, above the limit of {SYMBOLIC_TERM_LIMIT}" in err
+
+
 def test_positivity_samples_count_only_the_pure_check(capsys):
     argv = ["positivity", "x1^2-x1*x2+x2^2", "--json", "--seed", "3", "--pure-check", "--order", "3"]
     code, out, _ = invoke(capsys, *argv)

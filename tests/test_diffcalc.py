@@ -25,7 +25,7 @@ from polydiff.diffcalc import (
     symbolic_pure_diff,
 )
 from polydiff.errors import DimensionError, PolydiffError, ResourceLimitError
-from polydiff.poly import ScalarPoly, as_vector_poly, variables
+from polydiff.poly import ScalarPoly, VectorPoly, as_vector_poly, variables
 from polydiff.positivity import counterexample_cubic
 from polydiff.sampling import (
     SamplerConfig,
@@ -231,6 +231,97 @@ def test_symbolic_pure_matches_numeric():
         assert sym.evaluate(x + h) == pure_diff_at(BlackBoxFn.from_poly(p), x, h, r)
 
 
+def compose_pure_diff(p, r):
+    """Reference route: sum_k (-1)^(r-k) C(r, k) P(x + k h), each term a substitution."""
+    p = as_vector_poly(p)
+    n = p.nvars
+    gens = variables(2 * n)
+    total = VectorPoly.zero(2 * n, p.codim)
+    for k in range(r + 1):
+        args = [gens[i] + k * gens[n + i] for i in range(n)]
+        total = total + ((-1) ** (r - k) * math.comb(r, k)) * p.compose(args, nvars_out=2 * n)
+    return total
+
+
+def compose_mixed_diff(p, r):
+    """Reference route: the recursion, substituting x -> x + h_s one block at a time."""
+    p = as_vector_poly(p)
+    n = p.nvars
+    big = n * (1 + r)
+    pad = (0,) * (n * r)
+    cur = VectorPoly(tuple(ScalarPoly(big, {e + pad: c for e, c in coord.terms.items()}) for coord in p.coords))
+    gens = variables(big)
+    for s in range(1, r + 1):
+        args = [gens[i] + gens[n * s + i] if i < n else gens[i] for i in range(big)]
+        cur = cur.compose(args, nvars_out=big) - cur
+    return cur
+
+
+def closed_form_cases():
+    """Seeded rational polynomials (n 1-4, codim 1-2, degree 0-4) and edge cases."""
+    rng = Random(61)
+    cases = [
+        rand_vector_poly(rng, rng.randint(1, 4), rng.randint(0, 4), codim=rng.randint(1, 2), max_terms=4)
+        for _ in range(300)
+    ]
+    x1, x2 = variables(2)
+    cases += [
+        VectorPoly.zero(3, 2),
+        VectorPoly.constant(2, [Fraction(-5, 3)]),
+        VectorPoly((x1**3 * x2 - Fraction(1, 2) * x2, ScalarPoly.zero(2))),
+        as_vector_poly(Fraction(2, 7) * x1**5 * x2),
+    ]
+    return cases
+
+
+def test_symbolic_closed_forms_equal_compose_routes():
+    above_degree = 0
+    for p in closed_form_cases():
+        for r in range(6):
+            assert symbolic_pure_diff(p, r) == compose_pure_diff(p, r)
+            assert symbolic_mixed_diff(p, r) == compose_mixed_diff(p, r)
+            above_degree += r > (p.degree() or 0)
+    assert above_degree
+
+
+def sympy_terms(expr, gens):
+    """Coefficient dict of an expanded sympy expression, as Fractions."""
+    import sympy
+
+    return {
+        e: Fraction(int(c.p), int(c.q)) for e, c in sympy.Poly(expr, *gens).as_dict().items() if c
+    }
+
+
+def test_symbolic_closed_forms_equal_sympy_expansions():
+    sympy = pytest.importorskip("sympy")
+    rng = Random(67)
+    for _ in range(25):
+        n = rng.randint(1, 3)
+        p = rand_vector_poly(rng, n, rng.randint(0, 4), codim=rng.randint(1, 2), max_terms=4)
+        r = rng.randint(0, 4)
+        gens = sympy.symbols(block_names(n, max(r, 1)))
+        xs = gens[:n]
+        for coord, pure, mixed in zip(p.coords, symbolic_pure_diff(p, r).coords, symbolic_mixed_diff(p, r).coords):
+            base = sum(
+                (sympy.Rational(c.numerator, c.denominator) * sympy.prod([x**k for x, k in zip(xs, e)])
+                 for e, c in coord.terms.items()),
+                sympy.Integer(0),
+            )
+            hs = gens[n : 2 * n]
+            expanded = sum(
+                ((-1) ** (r - k) * math.comb(r, k) * base.xreplace({x: x + k * h for x, h in zip(xs, hs)})
+                 for k in range(r + 1)),
+                sympy.Integer(0),
+            )
+            assert pure.terms == sympy_terms(sympy.expand(expanded), gens[: 2 * n])
+            nested = base
+            for s in range(1, r + 1):
+                block = gens[n * s : n * (s + 1)]
+                nested = nested.xreplace({x: x + h for x, h in zip(xs, block)}) - nested
+            assert mixed.terms == sympy_terms(sympy.expand(nested), gens[: n * (1 + r)])
+
+
 def test_block_names_layout():
     assert block_names(2, 2) == ["x1", "x2", "h1_1", "h1_2", "h2_1", "h2_2"]
 
@@ -314,21 +405,47 @@ def test_symbolic_pure_diff_rejects_oversized_expansion():
     assert not symbolic_pure_diff(product_monomial(8), 2).is_zero
 
 
+def split_bound(p, r):
+    """The size bound symbolic_mixed_diff checks: sum over terms of prod C(e_i + r, r)."""
+    coords = as_vector_poly(p).coords
+    return sum(math.prod(math.comb(e + r, r) for e in exps) for coord in coords for exps in coord.terms)
+
+
+def test_symbolic_mixed_diff_rejects_oversized_expansion():
+    x1, x2, x3 = variables(3)
+    p = x1**4 * x2**4 * x3**4
+    assert split_bound(p, 5) == 126**3 > SYMBOLIC_TERM_LIMIT
+    message = (
+        f"symbolic mixed difference would expand to up to {126**3} terms, above the limit of {SYMBOLIC_TERM_LIMIT}"
+    )
+    with pytest.raises(ResourceLimitError, match=message):
+        symbolic_mixed_diff(p, 5)
+    assert split_bound(p, 2) == 15**3
+    assert symbolic_mixed_diff(p, 2) == compose_mixed_diff(p, 2)
+
+
 def test_bench_inputs_stay_far_below_the_term_limit(monkeypatch):
-    """Every symbolic pure difference the benchmark workloads take is small."""
+    """Every symbolic pure and mixed difference the benchmark workloads take is small."""
     bench = Path(__file__).resolve().parents[1] / "bench"
     monkeypatch.syspath_prepend(str(bench))
     import workloads
     from polydiff import cli, components, diffcalc, positivity
 
     bounds = []
+    mixed_bounds = []
 
     def recording(p, r):
         bounds.append(term_bound(p))
         return symbolic_pure_diff(p, r)
 
+    def recording_mixed(p, r):
+        mixed_bounds.append(split_bound(p, r))
+        return symbolic_mixed_diff(p, r)
+
     for module in (cli, components, diffcalc, positivity):
         monkeypatch.setattr(module, "symbolic_pure_diff", recording)
+    for module in (cli, diffcalc):
+        monkeypatch.setattr(module, "symbolic_mixed_diff", recording_mixed)
     for workload in workloads.WORKLOADS.values():
         rng = Random(101)
         for op in workload.prelude(rng) + workload.round(rng):
@@ -337,3 +454,4 @@ def test_bench_inputs_stay_far_below_the_term_limit(monkeypatch):
             except PolydiffError:
                 pass
     assert bounds and max(bounds) * 100 < SYMBOLIC_TERM_LIMIT
+    assert mixed_bounds and max(mixed_bounds) * 100 < SYMBOLIC_TERM_LIMIT

@@ -10,6 +10,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from random import Random
 
+from polydiff import positivity
 from polydiff.diffcalc import (
     BlackBoxFn,
     ClearedPoly,
@@ -106,7 +107,7 @@ def test_newton_stirling_rearrangement_interpolates_any_map():
     assert matrix[1] == (0, 1, Fraction(-1, 2), Fraction(1, 3), Fraction(-1, 4))
 
 
-def reference_pure_check(p, r_max, cfg, grid=DEFAULT_GRID) -> DiffReport:
+def reference_pure_check(p, r_max, cfg, grid=DEFAULT_GRID, cap=GRID_PAIR_CAP) -> DiffReport:
     """The two-stage pure check written directly on pure_diff_at."""
     f = BlackBoxFn.from_poly(p)
     n = p.nvars
@@ -121,7 +122,7 @@ def reference_pure_check(p, r_max, cfg, grid=DEFAULT_GRID) -> DiffReport:
     used = 0
     points = [tuple(Fraction(c) for c in pt) for pt in product(grid, repeat=n)]
     pairs = list(product(points, repeat=2))
-    stride = max(1, -(-len(pairs) // GRID_PAIR_CAP))
+    stride = max(1, -(-len(pairs) // cap))
     checks = [(x, x, 0) for x in points if 0 in uncertified]
     checks += [(x, h, r) for x, h in pairs[::stride] for r in uncertified if r]
     rng = Random(cfg.seed)
@@ -185,6 +186,18 @@ def test_pure_check_strided_grid_equals_reference_loop():
     report = pure_diff_nonneg_check(p, 1, cfg, grid)
     assert report == reference_pure_check(p, 1, cfg, grid)
     assert report.failed
+
+
+def test_pure_check_grid_stride_jumps_to_the_same_pairs(monkeypatch):
+    # a lowered cap forces strides 625, 90, 13 and 3 over the 625 pairs of the default grid
+    x1, x2 = ScalarPoly.variable(0, 2), ScalarPoly.variable(1, 2)
+    p = VectorPoly((x1 * x1 - x1 * x2 + Fraction(1, 2) * x2, x2 - x1))
+    cfg = SamplerConfig(seed=5, samples=4)
+    for cap in (1, 7, 50, 300):
+        monkeypatch.setattr(positivity, "GRID_PAIR_CAP", cap)
+        report = pure_diff_nonneg_check(p, 2, cfg)
+        assert report == reference_pure_check(p, 2, cfg, cap=cap)
+        assert report.failed
 
 
 def test_mixed_check_reports_equal_reference_loop():
